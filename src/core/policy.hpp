@@ -1,8 +1,9 @@
 // Policy interfaces and the cache-operations facade handed to policies.
 //
 // A policy serves each request by mutating the cache through CacheOps;
-// the simulator owns the actual cache state and cost meter, audits
-// feasibility after every step, and reports costs under both cost models.
+// the PolicyStepper (core/step.hpp) that drives it owns the actual cache
+// state and cost meter, audits feasibility after every step, and meters
+// costs under both cost models.
 // Offline algorithms receive the full Instance in reset() and may read the
 // future; online algorithms must only use what they have seen (the tests
 // include a prefix-consistency check for the online ones).
@@ -23,7 +24,7 @@ class MetricRegistry;
 
 namespace bac {
 
-/// Mutating facade over the simulator's cache; all costs flow through here.
+/// Mutating facade over the stepper's cache; all costs flow through here.
 class CacheOps {
  public:
   CacheOps(const BlockMap& blocks, CacheSet& cache, CostMeter& meter, int k)

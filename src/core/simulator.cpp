@@ -1,11 +1,11 @@
 #include "core/simulator.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "core/mrc.hpp"
+#include "core/step.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
@@ -33,12 +33,7 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
         "simulate: offline policy " + policy.name() +
         " needs a materialized instance, not a streaming source");
 
-  CacheSet cache(ctx.n_pages());
-  CostMeter meter(ctx.blocks);
-  CacheOps ops(ctx.blocks, cache, meter, ctx.k);
-
-  policy.reset(ctx);
-  policy.seed(options.seed);
+  PolicyStepper step(ctx, policy, options.seed);
 
   RunResult result;
   const long long hint = source.horizon_hint();
@@ -64,85 +59,44 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
   // garbage, so bound-check their pages as they arrive.
   const bool check_pages = !source.materialized();
   const PageId n_pages = ctx.n_pages();
-  const int k = ctx.k;
-  constexpr Time kMaxTime = std::numeric_limits<Time>::max();
-  Cost prev_evict = 0, prev_fetch = 0;
-  Time t = 0;
-
-  // Feasibility audit + repair, shared by both lanes (cold path for any
-  // correct policy). The repair runs in ONE backward pass over the
-  // member list: CacheSet::erase swap-removes (only indices >= i are
-  // disturbed), so scanning from the back visits each page exactly once —
-  // the old forward rescan-per-eviction was quadratic in the overflow.
-  const auto audit = [&](PageId p) {
-    if (!cache.contains(p)) {
-      if (options.throw_on_violation)
-        throw std::runtime_error("simulate: policy " + policy.name() +
-                                 " left requested page uncached at t=" +
-                                 std::to_string(t));
-      ++result.violations;
-      ops.fetch(p);
-    }
-    if (cache.size() > k) {
-      if (options.throw_on_violation)
-        throw std::runtime_error("simulate: policy " + policy.name() +
-                                 " exceeded capacity at t=" + std::to_string(t));
-      ++result.violations;
-      const auto& pages = cache.pages();
-      for (std::size_t i = pages.size(); cache.size() > k && i-- > 0;) {
-        const PageId q = pages[i];
-        if (q != p) ops.evict(q);
-      }
-    }
-  };
-
   const auto check_page = [&](PageId p) {
-    // Time is 32-bit throughout the policy layer; refuse to wrap rather
-    // than hand policies negative timestamps.
-    if (t == kMaxTime)
-      throw std::runtime_error(
-          "simulate: trace exceeds 2^31-1 requests (Time is 32-bit)");
     if (check_pages && (p < 0 || p >= n_pages))
       throw std::runtime_error(
           "simulate: source yielded page " + std::to_string(p) +
           " outside [0, " + std::to_string(n_pages) + ") at t=" +
-          std::to_string(t + 1));
+          std::to_string(step.now() + 1));
   };
+  const CostMeter& meter = step.meter();
+  Cost prev_evict = 0, prev_fetch = 0;
 
-  // The stream is consumed in batches; per-request work is split into two
-  // lanes so the common configuration (costs only — every Monte-Carlo
-  // trial and throughput bench) pays for none of the recording branches.
-  const bool fast_lane = !options.record_steps && !options.record_schedule &&
-                         !options.record_sketch && mrc == nullptr;
+  // Both lanes serve every request through the same PolicyStepper; the
+  // costs-only lane (every Monte-Carlo trial and throughput bench) is a
+  // separate loop so it pays for none of the recording branches (a
+  // merged loop measured slower on the cheap policies; see "One request
+  // step" in bench/DESIGN.md).
+  const bool costs_only = !options.record_steps && !options.record_schedule &&
+                          !options.record_sketch && mrc == nullptr;
   PageId batch[kSimBatch];
   for (;;) {
     const int m = source.next_batch(batch, kSimBatch);
     if (m <= 0) break;
-    if (fast_lane) {
+    if (costs_only) {
       for (int i = 0; i < m; ++i) {
         const PageId p = batch[i];
         check_page(p);
-        ++t;
-        meter.begin_step(t);
-        if (!cache.contains(p)) ++result.misses;
-        policy.on_request(t, p, ops);
-        audit(p);
+        if (!step.serve(p)) ++result.misses;
       }
     } else {
       for (int i = 0; i < m; ++i) {
         const PageId p = batch[i];
         check_page(p);
-        ++t;
-        meter.begin_step(t);
         if (options.record_schedule) {
           result.schedule.steps.emplace_back();
-          auto& step = result.schedule.steps.back();
-          ops.set_capture(&step.evictions, &step.fetches);
+          auto& s = result.schedule.steps.back();
+          step.ops().set_capture(&s.evictions, &s.fetches);
         }
-        if (!cache.contains(p)) ++result.misses;
         if (mrc) mrc->add(p);
-        policy.on_request(t, p, ops);
-        audit(p);
+        if (!step.serve(p)) ++result.misses;
 
         if (options.record_steps) {
           result.step_eviction_cost.push_back(meter.eviction_cost() -
@@ -160,6 +114,7 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
         prev_fetch = meter.fetch_cost();
       }
     }
+    const Time t = step.now();
     if (options.trace != nullptr && t >= next_progress) {
       obs::TraceEvent e;
       e.type = "progress";
@@ -173,12 +128,14 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
     }
   }
 
+  const Time t = step.now();
+  const CacheSet& cache = step.cache();
   result.requests = t;
   result.cached_pages = cache.size();
   if (options.record_schedule) {
     result.final_cache = cache.pages();
     std::sort(result.final_cache.begin(), result.final_cache.end());
-    result.capture_cancellations = ops.capture_cancellations();
+    result.capture_cancellations = step.ops().capture_cancellations();
   }
   if (mrc)
     for (const int k : options.mrc_ks)
@@ -227,7 +184,6 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
     phase.num("fetch_cost", static_cast<double>(result.fetch_cost));
     phase.num("flush_events", static_cast<double>(result.evict_block_events));
     phase.num("fetch_events", static_cast<double>(result.fetch_block_events));
-    phase.num("violations", static_cast<double>(result.violations));
   }
   if (options.record_sketch) {
     result.step_cost_p50 = step_hist.quantile(0.50);

@@ -1,16 +1,20 @@
-// Replayable simulator: drives a policy over a request stream, audits
-// feasibility at every step, and accumulates costs under both cost models.
+// Replayable simulator: drives a policy over a request stream and
+// accumulates costs under both cost models.
 //
-// The core loop consumes a RequestSource, so it runs identically over a
-// materialized Instance (the InstanceSource adapter — the historical API,
-// still the signature every test uses) and over streaming traces (.bact,
-// text, CSV, synthetic generators) whose length never enters memory.
-// Per-step costs are folded online into a fixed-layout mergeable
-// log-bucket histogram (obs/histogram.hpp, O(1) memory); an optional
-// single-pass LRU miss-ratio curve rides along. With an obs::TraceWriter
-// attached the run emits phase begin/progress/end JSONL events; with a
-// MetricRegistry attached its event counters and step-cost histogram are
-// folded in at the end of the run.
+// Each request is one PolicyStepper::serve (core/step.hpp) — the same
+// step, with the same feasibility audit, that a server shard and the
+// adaptive adversary run; a policy that leaves the requested page
+// uncached or overfills the cache makes simulate throw. The loop consumes
+// a RequestSource, so it runs identically over a materialized Instance
+// (the InstanceSource adapter — the historical API, still the signature
+// every test uses) and over streaming traces (.bact, text, CSV, synthetic
+// generators) whose length never enters memory. Per-step costs are folded
+// online into a fixed-layout mergeable log-bucket histogram
+// (obs/histogram.hpp, O(1) memory); an optional single-pass LRU
+// miss-ratio curve rides along. With an obs::TraceWriter attached the run
+// emits phase begin/progress/end JSONL events; with a MetricRegistry
+// attached its event counters and step-cost histogram are folded in at
+// the end of the run.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +39,6 @@ struct SimOptions {
   std::uint64_t seed = 1;        ///< forwarded to OnlinePolicy::seed
   bool record_steps = false;     ///< keep per-step cost series
   bool record_schedule = false;  ///< capture the policy's actions
-  bool throw_on_violation = true;///< throw instead of silently repairing
   bool record_sketch = true;     ///< per-step cost histogram (O(1) memory)
   /// Cache sizes to evaluate the single-pass LRU miss-ratio curve at;
   /// empty disables the curve (it costs O(log n) per request).
@@ -61,7 +64,6 @@ struct RunResult {
   long long fetched_pages = 0;
   long long requests = 0;///< requests served (streams may not know upfront)
   long long misses = 0;  ///< requests not already cached
-  int violations = 0;    ///< feasibility repairs (0 for a correct policy)
   int cached_pages = 0;  ///< cache occupancy after the last request
   /// Cached pages after the last request (sorted); filled when
   /// record_schedule so capture→replay state-exactness is checkable.
@@ -78,7 +80,7 @@ struct RunResult {
   obs::Histogram step_cost_hist;
   /// Quantile summaries of step_cost_hist (bucket-midpoint estimates,
   /// NaN when no steps ran) and the exact per-step maximum; filled when
-  /// record_sketch. These replace the former non-mergeable P^2 sketches.
+  /// record_sketch.
   double step_cost_p50 = 0;
   double step_cost_p90 = 0;
   double step_cost_p99 = 0;
@@ -93,7 +95,9 @@ struct RunResult {
 /// Run `policy` over the stream. The cache starts empty (the paper's
 /// convention: time-0 flushes are free, i.e. initial contents are
 /// irrelevant). Throws std::invalid_argument if the policy requires the
-/// future (offline) and the source is not materialized.
+/// future (offline) and the source is not materialized, and
+/// std::runtime_error if a step's feasibility audit fails or a streaming
+/// source yields a page outside the context.
 RunResult simulate(RequestSource& source, OnlinePolicy& policy,
                    const SimOptions& options = {});
 

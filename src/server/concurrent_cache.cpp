@@ -18,6 +18,13 @@ int shard_of_block(BlockId b, int n_shards) {
                           static_cast<std::uint64_t>(n_shards));
 }
 
+/// Throws std::out_of_range unless 0 <= p < n_pages.
+void check_page(PageId p, PageId n_pages) {
+  if (p < 0 || p >= n_pages)
+    throw std::out_of_range("ConcurrentCache: page " + std::to_string(p) +
+                            " outside [0, " + std::to_string(n_pages) + ")");
+}
+
 }  // namespace
 
 int ConcurrentCache::max_shards(const Instance& context) {
@@ -79,34 +86,23 @@ ConcurrentCache::ConcurrentCache(const Instance& context,
 }
 
 bool ConcurrentCache::get(PageId p) {
-  if (p < 0 || p >= context_.n_pages())
-    throw std::out_of_range("ConcurrentCache: page " + std::to_string(p) +
-                            " outside [0, " +
-                            std::to_string(context_.n_pages()) + ")");
+  check_page(p, context_.n_pages());
   return shards_[static_cast<std::size_t>(
                      page_shard_[static_cast<std::size_t>(p)])]
       ->get(p);
 }
 
 long long ConcurrentCache::get_batch(const PageId* ps, int n) {
+  // Validate the whole batch first, so a bad page rejects it before any
+  // request is served rather than leaving it partly applied.
+  for (int i = 0; i < n; ++i) check_page(ps[i], context_.n_pages());
   long long hits = 0;
   int i = 0;
   while (i < n) {
-    const PageId p = ps[i];
-    if (p < 0 || p >= context_.n_pages())
-      throw std::out_of_range("ConcurrentCache: page " + std::to_string(p) +
-                              " outside [0, " +
-                              std::to_string(context_.n_pages()) + ")");
-    const std::int32_t s = page_shard_[static_cast<std::size_t>(p)];
+    const std::int32_t s = page_shard_[static_cast<std::size_t>(ps[i])];
     // Extend the run while the owning shard stays the same.
     int j = i + 1;
-    while (j < n) {
-      const PageId q = ps[j];
-      if (q < 0 || q >= context_.n_pages())
-        break;  // re-diagnosed (and thrown) at the top of the next run
-      if (page_shard_[static_cast<std::size_t>(q)] != s) break;
-      ++j;
-    }
+    while (j < n && page_shard_[static_cast<std::size_t>(ps[j])] == s) ++j;
     hits += shards_[static_cast<std::size_t>(s)]->get_batch(ps + i, j - i);
     i = j;
   }
@@ -114,10 +110,7 @@ long long ConcurrentCache::get_batch(const PageId* ps, int n) {
 }
 
 int ConcurrentCache::shard_of(PageId p) const {
-  if (p < 0 || p >= context_.n_pages())
-    throw std::out_of_range("ConcurrentCache: page " + std::to_string(p) +
-                            " outside [0, " +
-                            std::to_string(context_.n_pages()) + ")");
+  check_page(p, context_.n_pages());
   return page_shard_[static_cast<std::size_t>(p)];
 }
 
@@ -130,7 +123,7 @@ ServerStats ConcurrentCache::stats() const {
   // Histogram merges are exact (bucket-wise count adds in shard index
   // order) — the merged quantiles describe the union of all per-request
   // samples at bucket resolution, not a weighted mean of per-shard
-  // estimates as with the former P^2 sketches.
+  // estimates.
   for (const auto& shard : shards_) {
     const ShardSnapshot s = shard->snapshot();
     out.requests += s.requests;

@@ -92,7 +92,9 @@ class ConcurrentCache {
   /// acquisition (CacheShard::get_batch), so a dispatch whose lanes are
   /// shard-partitioned pays ~1 lock per 512 requests instead of one per
   /// request. Per-shard request order — and therefore every cost and
-  /// counter — is identical to n get() calls at any thread count.
+  /// counter — is identical to n get() calls at any thread count. A page
+  /// outside the context throws std::out_of_range before any request of
+  /// the batch is served.
   long long get_batch(const PageId* ps, int n);
 
   [[nodiscard]] int n_shards() const noexcept {

@@ -1,9 +1,5 @@
 #include "server/shard.hpp"
 
-#include <limits>
-#include <stdexcept>
-#include <string>
-
 #include "util/timer.hpp"
 
 namespace bac::server {
@@ -13,12 +9,7 @@ CacheShard::CacheShard(const Instance& header,
                        std::uint64_t seed)
     : header_(&header),
       policy_(std::move(policy)),
-      cache_(header.n_pages()),
-      meter_(header.blocks),
-      ops_(header.blocks, cache_, meter_, header.k) {
-  policy_->reset(*header_);
-  policy_->seed(seed);
-}
+      stepper_(header, *policy_, seed) {}
 
 bool CacheShard::get(PageId p) { return get_batch(&p, 1) == 1; }
 
@@ -38,28 +29,12 @@ long long CacheShard::get_batch(const PageId* ps, int n) {
   double prev_us = 0.0;
   long long batch_hits = 0;
   for (int i = 0; i < n; ++i) {
-    const PageId p = ps[i];
-    if (t_ == std::numeric_limits<Time>::max())
-      throw std::runtime_error(
-          "CacheShard: shard served 2^31-1 requests (Time is 32-bit)");
-    ++t_;
-    meter_.begin_step(t_);
-    const bool hit = cache_.contains(p);
-    if (hit) {
+    if (stepper_.serve(ps[i])) {
       ++hits_;
       ++batch_hits;
     } else {
       ++misses_;
     }
-    policy_->on_request(t_, p, ops_);
-    // Feasibility audit, as in the simulator — a server must not silently
-    // repair a broken policy.
-    if (!cache_.contains(p))
-      throw std::runtime_error("CacheShard: policy " + policy_->name() +
-                               " left requested page uncached");
-    if (cache_.size() > header_->k)
-      throw std::runtime_error("CacheShard: policy " + policy_->name() +
-                               " exceeded shard capacity");
     const double now_us = clock.micros();
     latency_us_.add(now_us - prev_us);
     prev_us = now_us;
@@ -74,15 +49,16 @@ ShardSnapshot CacheShard::snapshot() const {
   s.requests = hits_ + misses_;
   s.hits = hits_;
   s.misses = misses_;
-  s.eviction_cost = meter_.eviction_cost();
-  s.fetch_cost = meter_.fetch_cost();
-  s.classic_eviction_cost = meter_.classic_eviction_cost();
-  s.classic_fetch_cost = meter_.classic_fetch_cost();
-  s.evict_block_events = meter_.evict_block_events();
-  s.fetch_block_events = meter_.fetch_block_events();
-  s.evicted_pages = meter_.evicted_pages();
-  s.fetched_pages = meter_.fetched_pages();
-  s.cached_pages = cache_.size();
+  const CostMeter& meter = stepper_.meter();
+  s.eviction_cost = meter.eviction_cost();
+  s.fetch_cost = meter.fetch_cost();
+  s.classic_eviction_cost = meter.classic_eviction_cost();
+  s.classic_fetch_cost = meter.classic_fetch_cost();
+  s.evict_block_events = meter.evict_block_events();
+  s.fetch_block_events = meter.fetch_block_events();
+  s.evicted_pages = meter.evicted_pages();
+  s.fetched_pages = meter.fetched_pages();
+  s.cached_pages = stepper_.cache().size();
   s.capacity = header_->k;
   s.latency_us = latency_us_;
   s.lock_wait_us = lock_wait_us_;

@@ -1,5 +1,5 @@
 // One shard of the concurrent data-plane: a single-threaded block-aware
-// cache (policy + cache set + cost meter) behind a mutex.
+// cache (a policy driven by a core PolicyStepper) behind a mutex.
 //
 // A shard owns every page of the blocks assigned to it, so the paper's
 // batched cost semantics stay exact under concurrency: any flush or
@@ -17,10 +17,9 @@
 #include <limits>
 #include <memory>
 
-#include "core/cache_set.hpp"
-#include "core/cost_meter.hpp"
 #include "core/instance.hpp"
 #include "core/policy.hpp"
+#include "core/step.hpp"
 #include "obs/histogram.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -65,17 +64,18 @@ class CacheShard {
   /// `header` carries the full block map and this shard's capacity as its
   /// k (requests empty, as for streaming sources); it must outlive the
   /// shard — the ConcurrentCache coordinator owns it. The policy is
-  /// reset(header) then seed(seed) here, mirroring the simulator.
+  /// reset(header) then seed(seed) here, as in the simulator.
   CacheShard(const Instance& header, std::unique_ptr<OnlinePolicy> policy,
              std::uint64_t seed);
 
-  // CacheOps points into cache_/meter_; the shard must never move.
+  // stepper_ points into itself; the shard must never move.
   CacheShard(const CacheShard&) = delete;
   CacheShard& operator=(const CacheShard&) = delete;
 
-  /// Serve one request; true on hit. Thread-safe. Audits the policy like
-  /// the simulator does: throws std::runtime_error if the requested page
-  /// is left uncached or the shard capacity is exceeded.
+  /// Serve one request; true on hit. Thread-safe. Each request is one
+  /// PolicyStepper step, audited as in the simulator: throws
+  /// std::runtime_error if the requested page is left uncached or the
+  /// shard capacity is exceeded.
   bool get(PageId p);
 
   /// Serve `n` requests (all owned by this shard) under ONE lock
@@ -98,17 +98,14 @@ class CacheShard {
 
  private:
   // Everything below the mutex is mutated only under it (the clang-tsa
-  // preset proves this). header_ is immutable shared context; policy_,
-  // cache_, meter_ are also reached through ops_'s stored references,
-  // which is invisible to the analysis — the REQUIRES discipline on the
-  // call sites (get_batch only) keeps that path locked too.
+  // preset proves this). header_ is immutable shared context; policy_ is
+  // also reached through stepper_, which is invisible to the analysis —
+  // the REQUIRES discipline on the call sites (get_batch only) keeps that
+  // path locked too.
   const Instance* header_;
   mutable Mutex mutex_;
   std::unique_ptr<OnlinePolicy> policy_ GUARDED_BY(mutex_);
-  CacheSet cache_ GUARDED_BY(mutex_);
-  CostMeter meter_ GUARDED_BY(mutex_);
-  CacheOps ops_ GUARDED_BY(mutex_);
-  Time t_ GUARDED_BY(mutex_) = 0;
+  PolicyStepper stepper_ GUARDED_BY(mutex_);
   long long hits_ GUARDED_BY(mutex_) = 0;
   long long misses_ GUARDED_BY(mutex_) = 0;
   obs::Histogram latency_us_ GUARDED_BY(mutex_);

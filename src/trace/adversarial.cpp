@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/cache_set.hpp"
-#include "core/cost_meter.hpp"
+#include "core/step.hpp"
 
 namespace bac {
 
@@ -166,19 +165,14 @@ AdversaryResult run_adaptive_adversary(OnlinePolicy& policy, int k,
                                        std::uint64_t seed) {
   if (h < 1 || h > k) throw std::invalid_argument("adversary: need 1<=h<=k");
   const int n = k + (block_size - 1) * (h - 1) + 1;
-  BlockMap blocks = BlockMap::contiguous(n, block_size);
-
   // Drive the policy step by step; the request stream is chosen online.
-  Instance shell{blocks, {}, k};
-  CacheSet cache(n);
-  CostMeter meter(blocks);
-  CacheOps ops(blocks, cache, meter, k);
-  policy.reset(shell);
-  policy.seed(seed);
+  Instance shell{BlockMap::contiguous(n, block_size), {}, k};
+  const BlockMap& blocks = shell.blocks;
+  PolicyStepper step(shell, policy, seed);
 
   std::vector<PageId> req;
   req.reserve(static_cast<std::size_t>(T));
-  for (Time t = 1; t <= T; ++t) {
+  while (step.now() < T) {
     // Pick the block with the most absent pages; request its first absent
     // page. The policy's cache has at most k < n pages, so one exists.
     int best_absent = -1;
@@ -187,7 +181,7 @@ AdversaryResult run_adaptive_adversary(OnlinePolicy& policy, int k,
       int absent = 0;
       PageId first_absent = -1;
       for (PageId p : blocks.pages_in(b)) {
-        if (!cache.contains(p)) {
+        if (!step.cache().contains(p)) {
           ++absent;
           if (first_absent < 0) first_absent = p;
         }
@@ -198,16 +192,13 @@ AdversaryResult run_adaptive_adversary(OnlinePolicy& policy, int k,
       }
     }
     req.push_back(choice);
-    meter.begin_step(t);
-    policy.on_request(t, choice, ops);
-    if (!cache.contains(choice))
-      throw std::runtime_error("adversary: policy failed to cache request");
-    if (cache.size() > k)
-      throw std::runtime_error("adversary: policy exceeded capacity");
+    step.serve(choice);
   }
 
-  AdversaryResult out{Instance{std::move(blocks), std::move(req), k},
-                      meter.fetch_cost(), meter.eviction_cost()};
+  const Cost fetch_cost = step.meter().fetch_cost();
+  const Cost eviction_cost = step.meter().eviction_cost();
+  AdversaryResult out{Instance{std::move(shell.blocks), std::move(req), k},
+                      fetch_cost, eviction_cost};
   out.instance.validate();
   return out;
 }

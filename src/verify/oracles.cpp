@@ -71,8 +71,6 @@ std::vector<Violation> check_cost_model(const GeneratedInstance& gi,
     RunResult r;
     if (!run_or_report(inst, *policy, sim, "cost_model", out, r)) continue;
     const std::string who = policy->name() + ": ";
-    if (r.violations != 0)
-      report(out, "cost_model", who + "feasibility repairs > 0");
     if (!leq(r.eviction_cost, r.classic_eviction_cost))
       report(out, "cost_model",
              who + "batched eviction " + fmt(r.eviction_cost) +

@@ -157,7 +157,6 @@ TEST(AllClassical, FeasibleOnRandomTraces) {
   policies.push_back(std::make_unique<BlockLruPolicy>(true));
   for (auto& p : policies) {
     const RunResult r = simulate(inst, *p);  // throws on violation
-    EXPECT_EQ(r.violations, 0) << p->name();
     EXPECT_GT(r.misses, 0) << p->name();
   }
 }

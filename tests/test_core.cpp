@@ -168,17 +168,6 @@ TEST(SimulatorTest, ThrowsOnInfeasiblePolicy) {
   EXPECT_THROW(simulate(inst, p), std::runtime_error);
 }
 
-TEST(SimulatorTest, RepairModeCountsViolations) {
-  const Instance inst = tiny_instance();
-  DoNothing p;
-  SimOptions opt;
-  opt.throw_on_violation = false;
-  const RunResult r = simulate(inst, p, opt);
-  // Every request is missing (5 violations); the repair fetches then
-  // overflow the k=2 cache, adding capacity violations on later steps.
-  EXPECT_GE(r.violations, 5);
-}
-
 /// A policy that hoards pages beyond capacity.
 class Hoarder final : public OnlinePolicy {
  public:
@@ -191,56 +180,6 @@ TEST(SimulatorTest, ThrowsOnCapacityViolation) {
   const Instance inst = tiny_instance();
   Hoarder p;
   EXPECT_THROW(simulate(inst, p), std::runtime_error);
-}
-
-/// Fetches the requested page plus every other page of the universe on
-/// each step — the worst capacity violator the repair path can face.
-class FloodingHoarder final : public OnlinePolicy {
- public:
-  [[nodiscard]] std::string name() const override {
-    return "FloodingHoarder";
-  }
-  void reset(const Instance& inst) override { n_ = inst.n_pages(); }
-  void on_request(Time, PageId, CacheOps& cache) override {
-    for (PageId q = 0; q < n_; ++q) cache.fetch(q);
-  }
-
- private:
-  int n_ = 0;
-};
-
-TEST(SimulatorTest, RepairModeRestoresCapacityInOnePass) {
-  // A large universe with k << n: each step the repair must evict
-  // hundreds of excess pages. The single backward-pass repair handles
-  // this linearly (the old front-rescan loop was quadratic per step);
-  // correctness here is capacity restored, requested page kept, one
-  // counted violation per audit failure.
-  Xoshiro256pp rng(3);
-  const Instance inst{BlockMap::contiguous(512, 4),
-                      uniform_trace(512, 40, rng), 16};
-  FloodingHoarder policy;
-  SimOptions opt;
-  opt.throw_on_violation = false;
-  const RunResult r = simulate(inst, policy, opt);
-  EXPECT_EQ(r.requests, 40);
-  // One capacity violation per step (the page itself is always fetched).
-  EXPECT_EQ(r.violations, 40);
-  EXPECT_LE(r.cached_pages, inst.k);
-  EXPECT_GT(r.cached_pages, 0);
-}
-
-TEST(SimulatorTest, RepairKeepsRequestedPageCached) {
-  const Instance inst = tiny_instance();
-  FloodingHoarder policy;
-  SimOptions opt;
-  opt.throw_on_violation = false;
-  opt.record_schedule = true;
-  const RunResult r = simulate(inst, policy, opt);
-  // The final request must have survived the repair evictions.
-  const PageId last = inst.requests.back();
-  EXPECT_NE(std::find(r.final_cache.begin(), r.final_cache.end(), last),
-            r.final_cache.end());
-  EXPECT_LE(r.cached_pages, inst.k);
 }
 
 TEST(SimulatorTest, SchedulePolicyMatchesEvaluate) {

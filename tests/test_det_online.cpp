@@ -20,7 +20,6 @@ TEST(DetOnline, FeasibleOnRandomTraces) {
         24, 4, 8, zipf_trace(24, 400, 0.8, rng.substream(trial)));
     DetOnlineBlockAware alg;
     const RunResult r = simulate(inst, alg);  // throws on violation
-    EXPECT_EQ(r.violations, 0);
     EXPECT_DOUBLE_EQ(r.eviction_cost, alg.primal_cost())
         << "meter and internal accounting must agree";
   }

@@ -5,7 +5,7 @@
 //  - CacheSet vs std::set<PageId>
 //  - CostMeter vs a naive per-step recomputation of batched costs
 //  - FlushVars::x_value vs the definition (3.2) evaluated from scratch
-//  - TraceStats::lru_hit_rate vs an O(T * k) list-based LRU stack
+//  - MissRatioCurve::miss_ratio vs an O(T * k) list-based LRU stack
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,9 +14,9 @@
 
 #include "core/cache_set.hpp"
 #include "core/cost_meter.hpp"
+#include "core/mrc.hpp"
 #include "submodular/flush_vars.hpp"
 #include "trace/generators.hpp"
-#include "trace/stats.hpp"
 #include "util/rng.hpp"
 
 namespace bac {
@@ -117,24 +117,29 @@ TEST(Differential, XValueAgainstDefinition) {
 
 TEST(Differential, StackDistanceHitRateAgainstListLru) {
   Xoshiro256pp rng(304);
-  const Instance inst = make_instance(30, 1, 8,
-                                      zipf_trace(30, 1500, 0.9, rng));
-  const TraceStats stats = analyze_trace(inst);
-  for (int k : {1, 2, 4, 8, 16, 30}) {
-    // Reference: explicit LRU stack as a list.
-    std::list<PageId> stack;
-    long long hits = 0;
-    for (PageId p : inst.requests) {
-      auto it = std::find(stack.begin(), stack.end(), p);
-      if (it != stack.end()) {
-        if (std::distance(stack.begin(), it) < k) ++hits;
-        stack.erase(it);
+  // A zipf trace, and a scan whose every reuse sits at stack position n.
+  for (const Instance& inst :
+       {make_instance(30, 1, 8, zipf_trace(30, 1500, 0.9, rng)),
+        make_instance(8, 2, 4, scan_trace(8, 40))}) {
+    MissRatioCurve curve(inst.n_pages());
+    for (PageId p : inst.requests) curve.add(p);
+    for (int k : {1, 2, 4, 7, 8, 16, 30}) {
+      // Reference: explicit LRU stack as a list.
+      std::list<PageId> stack;
+      long long hits = 0;
+      for (PageId p : inst.requests) {
+        auto it = std::find(stack.begin(), stack.end(), p);
+        if (it != stack.end()) {
+          if (std::distance(stack.begin(), it) < k) ++hits;
+          stack.erase(it);
+        }
+        stack.push_front(p);
       }
-      stack.push_front(p);
+      const double expect =
+          1.0 - static_cast<double>(hits) / static_cast<double>(inst.horizon());
+      ASSERT_NEAR(curve.miss_ratio(k), expect, 1e-12)
+          << "n=" << inst.n_pages() << " k=" << k;
     }
-    const double expect =
-        static_cast<double>(hits) / static_cast<double>(inst.horizon());
-    ASSERT_NEAR(stats.lru_hit_rate(k), expect, 1e-12) << "k=" << k;
   }
 }
 

@@ -58,7 +58,6 @@ TEST(Integration, ZooRunsBothModelsOnSharedWorkload) {
     SimOptions opt;
     opt.seed = 5;
     const RunResult r = simulate(inst, *policy, opt);
-    EXPECT_EQ(r.violations, 0) << policy->name();
     EXPECT_GE(r.eviction_cost, 0.0);
     EXPECT_GT(r.fetch_cost, 0.0) << policy->name();
   }

@@ -1,7 +1,7 @@
 // Streaming request sources: generator adapters must reproduce the
 // materialized generator vectors exactly, the streaming simulate() core
 // must match the Instance path bit for bit, and the online aggregates
-// (P^2 sketches, miss-ratio curve) must agree with their offline
+// (step-cost histogram, miss-ratio curve) must agree with their offline
 // counterparts.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "core/request_source.hpp"
 #include "core/simulator.hpp"
 #include "trace/generators.hpp"
-#include "trace/stats.hpp"
 #include "util/stats.hpp"
 
 namespace bac {
@@ -165,7 +164,7 @@ bool same_run(const RunResult& a, const RunResult& b) {
          a.fetch_block_events == b.fetch_block_events &&
          a.evicted_pages == b.evicted_pages &&
          a.fetched_pages == b.fetched_pages && a.misses == b.misses &&
-         a.requests == b.requests && a.violations == b.violations;
+         a.requests == b.requests;
 }
 
 TEST(StreamingSimulate, MatchesMaterializedPathBitForBit) {
@@ -224,16 +223,33 @@ TEST(MissRatioCurve, MatchesOfflineStackDistances) {
   Xoshiro256pp rng(11);
   const Instance inst =
       make_instance(24, 3, 6, zipf_trace(24, 3000, 0.8, rng));
-  const TraceStats stats = analyze_trace(inst);
+  // Offline reference: each request's stack position from an explicit
+  // most-recent-first stack; first touches have no position.
+  std::vector<long long> hist(static_cast<std::size_t>(inst.n_pages()), 0);
+  std::vector<PageId> stack;
+  for (PageId p : inst.requests) {
+    const auto it = std::find(stack.begin(), stack.end(), p);
+    if (it != stack.end()) {
+      ++hist[static_cast<std::size_t>(it - stack.begin())];
+      stack.erase(it);
+    }
+    stack.insert(stack.begin(), p);
+  }
 
   MissRatioCurve curve(inst.n_pages());
+  EXPECT_DOUBLE_EQ(curve.miss_ratio(4), 1.0) << "no requests yet";
   for (PageId p : inst.requests) curve.add(p);
-  for (const int k : {1, 2, 4, 8, 16, 24}) {
-    EXPECT_NEAR(curve.miss_ratio(k), 1.0 - stats.lru_hit_rate(k), 1e-12)
+  EXPECT_EQ(curve.histogram(), hist);
+  EXPECT_EQ(curve.requests(), 3000);
+  EXPECT_EQ(curve.compulsory_misses(),
+            static_cast<long long>(stack.size()));
+  long long hits = 0;
+  for (int k = 1; k <= inst.n_pages(); ++k) {
+    hits += hist[static_cast<std::size_t>(k - 1)];
+    EXPECT_NEAR(curve.miss_ratio(k), 1.0 - static_cast<double>(hits) / 3000.0,
+                1e-12)
         << "k=" << k;
   }
-  EXPECT_EQ(curve.requests(), 3000);
-  EXPECT_EQ(curve.compulsory_misses(), stats.distinct_pages);
 }
 
 TEST(MissRatioCurve, SurvivesPositionCompaction) {
@@ -276,32 +292,6 @@ TEST(MissRatioCurve, MatchesSimulatedLruMisses) {
                 static_cast<double>(r.misses) / static_cast<double>(T), 1e-12)
         << "LRU misses must equal the curve at its own k";
   }
-}
-
-TEST(P2Quantile, TracksExactQuantilesOnRandomData) {
-  Xoshiro256pp rng(33);
-  P2Quantile p50(0.5), p90(0.9);
-  std::vector<double> xs;
-  for (int i = 0; i < 20000; ++i) {
-    const double x = rng.uniform();
-    xs.push_back(x);
-    p50.add(x);
-    p90.add(x);
-  }
-  EXPECT_NEAR(p50.value(), quantile(xs, 0.5), 0.02);
-  EXPECT_NEAR(p90.value(), quantile(xs, 0.9), 0.02);
-}
-
-TEST(P2Quantile, ExactForSmallSamples) {
-  P2Quantile q(0.5);
-  // No observations yet: NaN, the StreamingStats::min/max convention
-  // (JSON emitters turn it into null) — not a fake 0.0.
-  EXPECT_TRUE(std::isnan(q.value()));
-  q.add(3.0);
-  EXPECT_DOUBLE_EQ(q.value(), 3.0);
-  q.add(1.0);
-  q.add(2.0);
-  EXPECT_DOUBLE_EQ(q.value(), 2.0);
 }
 
 }  // namespace

@@ -20,8 +20,8 @@ TEST(Rounding, FeasibleAcrossSeeds) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SimOptions opt;
     opt.seed = seed;
-    const RunResult r = simulate(inst, alg, opt);  // throws on violation
-    EXPECT_EQ(r.violations, 0);
+    // simulate throws on an infeasible step.
+    EXPECT_NO_THROW(simulate(inst, alg, opt)) << "seed " << seed;
   }
 }
 
@@ -109,8 +109,7 @@ TEST(Rounding, AblationWithoutStructureStillFeasible) {
   RandomizedBlockAware alg(options);
   SimOptions opt;
   opt.seed = 11;
-  const RunResult r = simulate(inst, alg, opt);
-  EXPECT_EQ(r.violations, 0);
+  EXPECT_NO_THROW(simulate(inst, alg, opt));
 }
 
 TEST(Rounding, GammaOverrideRespected) {

@@ -119,6 +119,48 @@ TEST(ConcurrentCache, RejectsOutOfRangePages) {
   EXPECT_THROW(cache.get(-1), std::out_of_range);
   EXPECT_THROW(cache.get(w.inst.n_pages()), std::out_of_range);
   EXPECT_THROW((void)cache.shard_of(w.inst.n_pages()), std::out_of_range);
+
+  // A bad page after valid runs on both shards rejects the whole batch
+  // before any request is served.
+  PageId other = 1;
+  while (cache.shard_of(other) == cache.shard_of(0)) ++other;
+  const PageId batch[] = {0, 0, other, other, w.inst.n_pages()};
+  EXPECT_THROW(cache.get_batch(batch, 5), std::out_of_range);
+  EXPECT_EQ(cache.stats().requests, 0);
+}
+
+/// Cloneable policy that never caches the requested page.
+class LeavesRequestUncached final : public OnlinePolicy {
+ public:
+  [[nodiscard]] std::string name() const override { return "Uncached"; }
+  void reset(const Instance&) override {}
+  void on_request(Time, PageId, CacheOps&) override {}
+  [[nodiscard]] std::unique_ptr<OnlinePolicy> clone() const override {
+    return std::make_unique<LeavesRequestUncached>();
+  }
+};
+
+/// Cloneable policy that caches every requested page and never evicts.
+class HoardsPastCapacity final : public OnlinePolicy {
+ public:
+  [[nodiscard]] std::string name() const override { return "Hoarder"; }
+  void reset(const Instance&) override {}
+  void on_request(Time, PageId p, CacheOps& cache) override { cache.fetch(p); }
+  [[nodiscard]] std::unique_ptr<OnlinePolicy> clone() const override {
+    return std::make_unique<HoardsPastCapacity>();
+  }
+};
+
+// A shard serves through the same audited step as the simulator: a
+// broken policy throws rather than being served.
+TEST(ConcurrentCache, AuditsPolicyFeasibility) {
+  const Workload w = zipf_workload(1);
+  ConcurrentCache uncached(w.inst, LeavesRequestUncached(), 1);
+  EXPECT_THROW(uncached.get(0), std::runtime_error);
+
+  ConcurrentCache hoarder(w.inst, HoardsPastCapacity(), 1);
+  for (PageId p = 0; p < w.inst.k; ++p) EXPECT_FALSE(hoarder.get(p));
+  EXPECT_THROW(hoarder.get(w.inst.k), std::runtime_error);
 }
 
 // With a single shard the data-plane is the simulator's serve loop behind
