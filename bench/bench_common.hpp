@@ -122,26 +122,15 @@ inline const char* load_name(Load l) {
   return "?";
 }
 
+/// Workload `l` over n pages in contiguous blocks of beta, materialized;
+/// the parameters behind each name are trace/generators.hpp's
+/// named_workload table, shared with bacsim.
 inline Instance build_load(Load l, int n, int beta, int k, Time T,
                            std::uint64_t seed) {
-  Xoshiro256pp rng(seed);
-  switch (l) {
-    case Load::Zipf:
-      return make_instance(n, beta, k, zipf_trace(n, T, 0.9, rng));
-    case Load::BlockLocal: {
-      BlockMap blocks = BlockMap::contiguous(n, beta);
-      auto req = block_local_trace(blocks, T, 0.75, 0.9, rng);
-      return Instance{std::move(blocks), std::move(req), k};
-    }
-    case Load::Scan:
-      return make_instance(n, beta, k, scan_trace(n, T));
-    case Load::Phased:
-      return make_instance(n, beta, k,
-                           phased_trace(n, T, T / 10, k + beta, rng));
-    case Load::Uniform:
-      return make_instance(n, beta, k, uniform_trace(n, T, rng));
-  }
-  throw std::logic_error("build_load");
+  SyntheticSource source(BlockMap::contiguous(n, beta), k, T,
+                         *named_workload(load_name(l), k, beta, T),
+                         Xoshiro256pp(seed));
+  return materialize(source);
 }
 
 // --- reporting --------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include "core/request_source.hpp"
 #include "core/simulator.hpp"
 #include "trace/bact.hpp"
+#include "trace/generators.hpp"
 #include "util/timer.hpp"
 
 int main(int argc, char** argv) {
@@ -30,11 +31,12 @@ int main(int argc, char** argv) {
       (std::filesystem::temp_directory_path() / "replay_demo.bact").string();
   {
     // Stream the workload straight to disk; O(n) memory, any T.
-    auto workload = SyntheticSource::zipf(n, beta, k, T, 0.9, /*seed=*/42);
+    SyntheticSource workload(BlockMap::contiguous(n, beta), k, T,
+                             SyntheticSpec::zipf(0.9), Xoshiro256pp(42));
     std::ofstream out(path, std::ios::binary);
-    BactWriter writer(out, workload->context().blocks, k, T);
+    BactWriter writer(out, workload.context().blocks, k, T);
     PageId p;
-    while (workload->next(p)) writer.add(p);
+    while (workload.next(p)) writer.add(p);
     writer.finish();
   }
   std::printf("archived %lld Zipf(0.9) requests to %s (%.1f MB)\n", T,

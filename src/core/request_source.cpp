@@ -1,188 +1,18 @@
 #include "core/request_source.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <stdexcept>
-
 namespace bac {
 
-namespace {
-Instance make_header(int n_pages, int block_size, int k) {
-  Instance header{BlockMap::contiguous(n_pages, block_size), {}, k};
-  header.validate();
-  return header;
+Instance materialize(RequestSource& source) {
+  const Instance& ctx = source.context();
+  Instance inst{ctx.blocks, {}, ctx.k};
+  const long long hint = source.horizon_hint();
+  if (hint > 0) inst.requests.reserve(static_cast<std::size_t>(hint));
+  PageId batch[512];
+  int got;
+  while ((got = source.next_batch(batch, 512)) > 0)
+    inst.requests.insert(inst.requests.end(), batch, batch + got);
+  inst.validate();
+  return inst;
 }
-}  // namespace
-
-SyntheticSource::SyntheticSource(Kind kind, int n_pages, int block_size,
-                                 int k, long long T, std::uint64_t seed)
-    : kind_(kind),
-      header_(make_header(n_pages, block_size, k)),
-      T_(T),
-      seed_(seed),
-      rng_(seed) {
-  if (T < 0) throw std::invalid_argument("SyntheticSource: negative horizon");
-}
-
-std::unique_ptr<SyntheticSource> SyntheticSource::uniform(
-    int n_pages, int block_size, int k, long long T, std::uint64_t seed) {
-  auto src = std::unique_ptr<SyntheticSource>(
-      new SyntheticSource(Kind::Uniform, n_pages, block_size, k, T, seed));
-  src->reset_state();
-  return src;
-}
-
-std::unique_ptr<SyntheticSource> SyntheticSource::zipf(int n_pages,
-                                                       int block_size, int k,
-                                                       long long T,
-                                                       double alpha,
-                                                       std::uint64_t seed) {
-  auto src = std::unique_ptr<SyntheticSource>(
-      new SyntheticSource(Kind::Zipf, n_pages, block_size, k, T, seed));
-  src->alpha_ = alpha;
-  src->reset_state();
-  return src;
-}
-
-std::unique_ptr<SyntheticSource> SyntheticSource::scan(int n_pages,
-                                                       int block_size, int k,
-                                                       long long T) {
-  auto src = std::unique_ptr<SyntheticSource>(
-      new SyntheticSource(Kind::Scan, n_pages, block_size, k, T, 0));
-  src->reset_state();
-  return src;
-}
-
-std::unique_ptr<SyntheticSource> SyntheticSource::phased(
-    int n_pages, int block_size, int k, long long T, long long phase_len,
-    int ws_size, std::uint64_t seed) {
-  if (phase_len <= 0)
-    throw std::invalid_argument("SyntheticSource: phase_len must be positive");
-  if (ws_size <= 0)
-    throw std::invalid_argument("SyntheticSource: ws_size must be positive");
-  auto src = std::unique_ptr<SyntheticSource>(
-      new SyntheticSource(Kind::Phased, n_pages, block_size, k, T, seed));
-  src->phase_len_ = phase_len;
-  src->ws_size_ = std::min(ws_size, n_pages);
-  src->reset_state();
-  return src;
-}
-
-std::unique_ptr<SyntheticSource> SyntheticSource::block_local(
-    int n_pages, int block_size, int k, long long T, double stay, double alpha,
-    std::uint64_t seed) {
-  auto src = std::unique_ptr<SyntheticSource>(
-      new SyntheticSource(Kind::BlockLocal, n_pages, block_size, k, T, seed));
-  src->stay_ = stay;
-  src->alpha_ = alpha;
-  src->reset_state();
-  return src;
-}
-
-void SyntheticSource::reset_state() {
-  t_ = 0;
-  rng_ = Xoshiro256pp(seed_);
-  switch (kind_) {
-    case Kind::Uniform:
-    case Kind::Scan:
-      break;
-    case Kind::Zipf: {
-      // Same cumulative table as zipf_trace.
-      const int n = header_.n_pages();
-      cum_.resize(static_cast<std::size_t>(n));
-      total_ = 0;
-      for (int i = 0; i < n; ++i) {
-        total_ += 1.0 / std::pow(static_cast<double>(i + 1), alpha_);
-        cum_[static_cast<std::size_t>(i)] = total_;
-      }
-      break;
-    }
-    case Kind::Phased: {
-      const int n = header_.n_pages();
-      universe_.resize(static_cast<std::size_t>(n));
-      for (int i = 0; i < n; ++i)
-        universe_[static_cast<std::size_t>(i)] = i;
-      ws_.clear();
-      break;
-    }
-    case Kind::BlockLocal: {
-      // Same cumulative table as block_local_trace, over blocks.
-      const int m = header_.blocks.n_blocks();
-      cum_.resize(static_cast<std::size_t>(m));
-      total_ = 0;
-      for (int i = 0; i < m; ++i) {
-        total_ += 1.0 / std::pow(static_cast<double>(i + 1), alpha_);
-        cum_[static_cast<std::size_t>(i)] = total_;
-      }
-      // block_local_trace draws the starting block before its loop.
-      const double u = rng_.uniform() * total_;
-      const auto it = std::lower_bound(cum_.begin(), cum_.end(), u);
-      current_block_ = static_cast<BlockId>(
-          std::min<std::ptrdiff_t>(it - cum_.begin(), m - 1));
-      break;
-    }
-  }
-}
-
-bool SyntheticSource::next(PageId& p) { return next_batch(&p, 1) == 1; }
-
-int SyntheticSource::next_batch(PageId* out, int cap) {
-  if (cap <= 0 || t_ >= T_) return 0;
-  const long long remaining = T_ - t_;
-  const int m =
-      remaining < cap ? static_cast<int>(remaining) : cap;
-  const int n = header_.n_pages();
-  switch (kind_) {
-    case Kind::Uniform:
-      for (int i = 0; i < m; ++i)
-        out[i] =
-            static_cast<PageId>(rng_.below(static_cast<std::uint64_t>(n)));
-      break;
-    case Kind::Zipf:
-      for (int i = 0; i < m; ++i) {
-        const double u = rng_.uniform() * total_;
-        const auto it = std::lower_bound(cum_.begin(), cum_.end(), u);
-        PageId p = static_cast<PageId>(it - cum_.begin());
-        if (p >= n) p = n - 1;
-        out[i] = p;
-      }
-      break;
-    case Kind::Scan:
-      for (int i = 0; i < m; ++i)
-        out[i] = static_cast<PageId>((t_ + i) % n);
-      break;
-    case Kind::Phased:
-      for (int i = 0; i < m; ++i) {
-        if ((t_ + i) % phase_len_ == 0) {
-          // Fresh working set via partial Fisher-Yates, like phased_trace.
-          for (int j = 0; j < ws_size_; ++j) {
-            const auto r = static_cast<std::size_t>(rng_.range(j, n - 1));
-            std::swap(universe_[static_cast<std::size_t>(j)], universe_[r]);
-          }
-          ws_.assign(universe_.begin(), universe_.begin() + ws_size_);
-        }
-        out[i] = ws_[static_cast<std::size_t>(
-            rng_.below(static_cast<std::uint64_t>(ws_size_)))];
-      }
-      break;
-    case Kind::BlockLocal:
-      for (int i = 0; i < m; ++i) {
-        if (!rng_.bernoulli(stay_)) {
-          const double u = rng_.uniform() * total_;
-          const auto it = std::lower_bound(cum_.begin(), cum_.end(), u);
-          current_block_ = static_cast<BlockId>(std::min<std::ptrdiff_t>(
-              it - cum_.begin(), header_.blocks.n_blocks() - 1));
-        }
-        const auto pages = header_.blocks.pages_in(current_block_);
-        out[i] =
-            pages[static_cast<std::size_t>(rng_.below(pages.size()))];
-      }
-      break;
-  }
-  t_ += m;
-  return m;
-}
-
-void SyntheticSource::rewind() { reset_state(); }
 
 }  // namespace bac

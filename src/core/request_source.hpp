@@ -4,8 +4,10 @@
 // structure (block map + cache size), so simulations never need the whole
 // request vector in memory — the enabler for replaying multi-hundred-
 // million-request production traces. The materialized Instance becomes
-// just one adapter (InstanceSource); synthetic generators, the v1 text
-// format, the .bact binary format, and CSV key traces provide the others.
+// just one adapter (InstanceSource); the synthetic processes
+// (SyntheticSource, trace/generators.hpp), the v1 text format, the .bact
+// binary format, and CSV key traces provide the others, and materialize()
+// turns any of them back into an Instance.
 //
 // Contract:
 //   - context() is valid for the source's lifetime and carries the block
@@ -33,7 +35,6 @@
 #include <vector>
 
 #include "core/instance.hpp"
-#include "util/rng.hpp"
 
 namespace bac {
 
@@ -109,74 +110,10 @@ class InstanceSource final : public RequestSource {
   std::size_t pos_ = 0;
 };
 
-/// Streaming adapter over the synthetic workload generators: produces
-/// exactly the sequence the corresponding trace/generators.hpp function
-/// materializes (same RNG, same per-step draws), but one request at a
-/// time with O(n_pages) state. rewind() restores the seed state, so every
-/// replay is identical.
-class SyntheticSource final : public RequestSource {
- public:
-  /// Mirrors uniform_trace(n_pages, T, rng) over contiguous blocks.
-  static std::unique_ptr<SyntheticSource> uniform(int n_pages, int block_size,
-                                                  int k, long long T,
-                                                  std::uint64_t seed);
-  /// Mirrors zipf_trace(n_pages, T, alpha, rng).
-  static std::unique_ptr<SyntheticSource> zipf(int n_pages, int block_size,
-                                               int k, long long T,
-                                               double alpha,
-                                               std::uint64_t seed);
-  /// Mirrors scan_trace(n_pages, T).
-  static std::unique_ptr<SyntheticSource> scan(int n_pages, int block_size,
-                                               int k, long long T);
-  /// Mirrors phased_trace(n_pages, T, phase_len, ws_size, rng).
-  static std::unique_ptr<SyntheticSource> phased(int n_pages, int block_size,
-                                                 int k, long long T,
-                                                 long long phase_len,
-                                                 int ws_size,
-                                                 std::uint64_t seed);
-  /// Mirrors block_local_trace(blocks, T, stay, alpha, rng) over
-  /// contiguous blocks.
-  static std::unique_ptr<SyntheticSource> block_local(int n_pages,
-                                                      int block_size, int k,
-                                                      long long T, double stay,
-                                                      double alpha,
-                                                      std::uint64_t seed);
-
-  [[nodiscard]] const Instance& context() const override { return header_; }
-  [[nodiscard]] long long horizon_hint() const override { return T_; }
-  bool next(PageId& p) override;
-  /// One switch on the generator kind per batch instead of per request;
-  /// draws the exact same RNG sequence as a next() loop.
-  int next_batch(PageId* out, int cap) override;
-  void rewind() override;
-
- private:
-  enum class Kind { Uniform, Zipf, Scan, Phased, BlockLocal };
-
-  SyntheticSource(Kind kind, int n_pages, int block_size, int k, long long T,
-                  std::uint64_t seed);
-
-  Kind kind_;
-  Instance header_;  ///< blocks + k, empty requests
-  long long T_;
-  long long t_ = 0;  ///< requests yielded so far
-  std::uint64_t seed_;
-  Xoshiro256pp rng_;
-
-  // Zipf / BlockLocal: normalized cumulative popularity weights.
-  std::vector<double> cum_;
-  double total_ = 0;
-  double alpha_ = 0;
-  // Phased.
-  long long phase_len_ = 0;
-  int ws_size_ = 0;
-  std::vector<PageId> universe_;
-  std::vector<PageId> ws_;
-  // BlockLocal.
-  double stay_ = 0;
-  BlockId current_block_ = 0;
-
-  void reset_state();
-};
+/// Drain `source` from its current position into a materialized Instance
+/// (its blocks and k, plus every remaining request), validated. The vector
+/// form of every streaming format: load_bact, load_csv_trace and the
+/// synthetic *_trace generators are this drain over their sources.
+Instance materialize(RequestSource& source);
 
 }  // namespace bac

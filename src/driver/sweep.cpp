@@ -1,14 +1,14 @@
 #include "driver/sweep.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "algs/zoo.hpp"
 #include "core/simulator.hpp"
 #include "trace/bact.hpp"
 #include "trace/csv.hpp"
+#include "trace/generators.hpp"
 #include "trace/trace_io.hpp"
 #include "util/flat_hash.hpp"
 #include "util/thread_annotations.hpp"
@@ -31,18 +31,6 @@ bool is_file_spec(const std::string& spec) {
   return spec.find('/') != std::string::npos || ends_with(spec, ".bact") ||
          ends_with(spec, ".csv") || ends_with(spec, ".txt") ||
          ends_with(spec, ".trace");
-}
-
-/// "zipf0.9" -> 0.9; "zipf" -> 0.9; anything else unparsable throws.
-double zipf_alpha(const std::string& spec) {
-  if (spec == "zipf") return 0.9;
-  const std::string digits = spec.substr(4);
-  char* end = nullptr;
-  errno = 0;
-  const double alpha = std::strtod(digits.c_str(), &end);
-  if (errno != 0 || end != digits.c_str() + digits.size() || alpha < 0)
-    throw std::invalid_argument("sweep: bad zipf spec '" + spec + "'");
-  return alpha;
 }
 
 /// Presents an inner streaming source under a different cache size, so
@@ -76,27 +64,20 @@ class KOverride final : public RequestSource {
   Instance header_;
 };
 
-/// Zipf is only well-defined over a spec beginning with "zipf"; keep the
-/// dispatch table in one place for specs and error messages.
+/// A synthetic workload by name (trace/generators.hpp's named_workload
+/// table) over n pages in contiguous blocks of beta.
 std::unique_ptr<RequestSource> make_synthetic(const std::string& spec,
                                               const SweepConfig& c, int k) {
-  const int n = c.n;
-  const int beta = c.beta;
-  const long long T = c.T;
-  if (spec.rfind("zipf", 0) == 0)
-    return SyntheticSource::zipf(n, beta, k, T, zipf_alpha(spec), c.seed);
-  if (spec == "uniform")
-    return SyntheticSource::uniform(n, beta, k, T, c.seed);
-  if (spec == "scan") return SyntheticSource::scan(n, beta, k, T);
-  if (spec == "blocklocal")
-    return SyntheticSource::block_local(n, beta, k, T, 0.75, 0.9, c.seed);
-  if (spec == "phased")
-    return SyntheticSource::phased(n, beta, k, T, std::max<long long>(1, T / 10),
-                                   k + beta, c.seed);
-  throw std::invalid_argument(
-      "sweep: unknown workload '" + spec +
-      "' (expected zipf[a], uniform, scan, blocklocal, phased, or a "
-      ".bact/.csv/text trace path)");
+  const std::optional<SyntheticSpec> workload =
+      named_workload(spec, k, c.beta, c.T);
+  if (!workload)
+    throw std::invalid_argument(
+        "sweep: unknown workload '" + spec +
+        "' (expected zipf[a], uniform, scan, blocklocal, phased, or a "
+        ".bact/.csv/text trace path)");
+  return std::make_unique<SyntheticSource>(BlockMap::contiguous(c.n, c.beta),
+                                           k, c.T, *workload,
+                                           Xoshiro256pp(c.seed));
 }
 
 /// Process-wide CSV mapping cache: pass 1 runs once per (file, inference

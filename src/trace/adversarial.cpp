@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/step.hpp"
+#include "trace/generators.hpp"
 
 namespace bac {
 
@@ -15,6 +16,13 @@ namespace {
 PageId p_page(int beta, int block, int index) { return static_cast<PageId>(block * beta + index); }
 PageId q_page(int beta, int block, int index) {
   return static_cast<PageId>((beta + block) * beta + index);
+}
+
+/// T requests of the cyclic scan over all of `blocks`' pages, cache size k.
+Instance scan_instance(BlockMap blocks, int k, long long T) {
+  SyntheticSource scan(std::move(blocks), k, T, SyntheticSpec::scan(),
+                       Xoshiro256pp());
+  return materialize(scan);
 }
 
 }  // namespace
@@ -140,24 +148,12 @@ BuiltAdversarial claim21_evict_cheap(int beta, int repeats) {
 Instance gap_instance(int beta, int rounds) {
   if (beta < 2) throw std::invalid_argument("gap_instance: beta >= 2");
   const int n = 2 * beta;
-  const int k = 2 * beta - 1;
-  std::vector<PageId> req;
-  req.reserve(static_cast<std::size_t>(rounds) * static_cast<std::size_t>(n));
-  for (int r = 0; r < rounds; ++r)
-    for (PageId p = 0; p < n; ++p) req.push_back(p);
-  Instance inst{BlockMap::contiguous(n, beta), std::move(req), k};
-  inst.validate();
-  return inst;
+  return scan_instance(BlockMap::contiguous(n, beta), 2 * beta - 1,
+                       static_cast<long long>(rounds) * n);
 }
 
 Instance cyclic_nemesis(int k, int block_size, Time T) {
-  const int n = k + 1;
-  std::vector<PageId> req(static_cast<std::size_t>(T));
-  for (Time t = 0; t < T; ++t)
-    req[static_cast<std::size_t>(t)] = static_cast<PageId>(t % n);
-  Instance inst{BlockMap::contiguous(n, block_size), std::move(req), k};
-  inst.validate();
-  return inst;
+  return scan_instance(BlockMap::contiguous(k + 1, block_size), k, T);
 }
 
 AdversaryResult run_adaptive_adversary(OnlinePolicy& policy, int k,

@@ -1,6 +1,7 @@
 #include "verify/gen.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -95,7 +96,7 @@ GeneratedInstance random_instance(std::uint64_t seed,
 
   // Skewed and single-block shapes carry an explicit assignment; the
   // contiguous shapes rebuild it from (n, block_size).
-  BlockMap blocks =
+  const BlockMap blocks =
       contiguous_uniform
           ? BlockMap::contiguous_weighted(n, block_size, std::move(costs))
           : BlockMap(std::move(page_to_block), std::move(costs));
@@ -125,54 +126,50 @@ GeneratedInstance random_instance(std::uint64_t seed,
             rng.below(static_cast<std::uint64_t>(max_T)));
   }
 
-  // --- request stream.
-  const std::uint64_t trace_seed = splitmix64(seed += 0x9e3779b97f4a7c15ULL);
+  // --- request stream: one process description yields both the
+  // materialized requests and the streaming twin.
+  const Xoshiro256pp trace_rng(splitmix64(seed += 0x9e3779b97f4a7c15ULL));
   const int kind = static_cast<int>(rng.below(5));
-  std::vector<PageId> requests;
+  SyntheticSpec spec;
   std::string trace_kind;
-  double alpha = 0, stay = 0;
-  long long phase_len = 0;
-  int ws_size = 0;
   switch (kind) {
     case 0:
       trace_kind = "uniform";
-      requests = uniform_trace(n, static_cast<Time>(T),
-                               Xoshiro256pp(trace_seed));
+      spec = SyntheticSpec::uniform();
       break;
-    case 1: {
+    case 1:
       trace_kind = "zipf";
-      alpha = 0.3 * static_cast<double>(rng.below(5));  // 0, .3, .6, .9, 1.2
-      requests = zipf_trace(n, static_cast<Time>(T), alpha,
-                            Xoshiro256pp(trace_seed));
+      // alpha in {0, .3, .6, .9, 1.2}
+      spec = SyntheticSpec::zipf(0.3 * static_cast<double>(rng.below(5)));
       break;
-    }
     case 2:
       trace_kind = "scan";
-      requests = scan_trace(n, static_cast<Time>(T));
+      spec = SyntheticSpec::scan();
       break;
     case 3: {
       trace_kind = "phased";
-      phase_len = 1 + static_cast<long long>(rng.below(
+      const long long phase_len = 1 + static_cast<long long>(rng.below(
           static_cast<std::uint64_t>(std::max<long long>(1, T / 2)) + 1));
-      ws_size = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-      requests = phased_trace(n, static_cast<Time>(T),
-                              static_cast<Time>(phase_len), ws_size,
-                              Xoshiro256pp(trace_seed));
+      const int ws_size =
+          1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
+      spec = SyntheticSpec::phased(phase_len, ws_size);
       break;
     }
     default: {
       trace_kind = "blocklocal";
-      stay = 0.5 + 0.1 * static_cast<double>(rng.below(5));
-      alpha = 0.3 * static_cast<double>(rng.below(4));
-      requests = block_local_trace(blocks, static_cast<Time>(T), stay, alpha,
-                                   Xoshiro256pp(trace_seed));
+      const double stay = 0.5 + 0.1 * static_cast<double>(rng.below(5));
+      const double alpha = 0.3 * static_cast<double>(rng.below(4));
+      spec = SyntheticSpec::block_local(stay, alpha);
       break;
     }
   }
 
   GeneratedInstance out;
-  out.inst = Instance{std::move(blocks), std::move(requests), k};
-  out.inst.validate();
+  SyntheticSource source(blocks, k, T, spec, trace_rng);
+  out.inst = materialize(source);
+  out.streaming_twin = [blocks, k, T, spec, trace_rng] {
+    return std::make_unique<SyntheticSource>(blocks, k, T, spec, trace_rng);
+  };
 
   out.descriptor = "n=" + std::to_string(n) + " m=" + std::to_string(m) +
                    " beta=" + std::to_string(beta) +
@@ -180,48 +177,9 @@ GeneratedInstance random_instance(std::uint64_t seed,
                    " shape=" + shape_name(shape) + " costs=" + cost_kind +
                    " trace=" + trace_kind +
                    (trace_kind == "zipf" || trace_kind == "blocklocal"
-                        ? " alpha=" + std::to_string(alpha)
+                        ? " alpha=" + std::to_string(spec.alpha)
                         : "") +
                    " seed=" + std::to_string(fuzz_seed);
-
-  // Streaming twin: only contiguous block maps (SyntheticSource builds its
-  // own contiguous header) with all-equal costs mirror a synthetic stream.
-  const bool unit_costs = cost_kind == "unit";
-  if (contiguous_uniform && unit_costs) {
-    const int bs = block_size;
-    switch (kind) {
-      case 0:
-        out.streaming_twin = [n, bs, k, T, trace_seed] {
-          return std::unique_ptr<RequestSource>(
-              SyntheticSource::uniform(n, bs, k, T, trace_seed));
-        };
-        break;
-      case 1:
-        out.streaming_twin = [n, bs, k, T, alpha, trace_seed] {
-          return std::unique_ptr<RequestSource>(
-              SyntheticSource::zipf(n, bs, k, T, alpha, trace_seed));
-        };
-        break;
-      case 2:
-        out.streaming_twin = [n, bs, k, T] {
-          return std::unique_ptr<RequestSource>(
-              SyntheticSource::scan(n, bs, k, T));
-        };
-        break;
-      case 3:
-        out.streaming_twin = [n, bs, k, T, phase_len, ws_size, trace_seed] {
-          return std::unique_ptr<RequestSource>(SyntheticSource::phased(
-              n, bs, k, T, phase_len, ws_size, trace_seed));
-        };
-        break;
-      default:
-        out.streaming_twin = [n, bs, k, T, stay, alpha, trace_seed] {
-          return std::unique_ptr<RequestSource>(SyntheticSource::block_local(
-              n, bs, k, T, stay, alpha, trace_seed));
-        };
-        break;
-    }
-  }
   return out;
 }
 

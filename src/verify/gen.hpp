@@ -9,10 +9,10 @@
 // T = 0 that one-at-a-time tests historically missed (the phased_trace
 // division by zero survived three PRs).
 //
-// When the generated shape has a streaming twin (contiguous blocks and a
-// SyntheticSource-backed trace kind), the GeneratedInstance carries a
-// factory reproducing the exact same stream, which the
-// streaming≡materialized oracle replays against the materialized run.
+// The requests are a drain of one SyntheticSource, and the
+// GeneratedInstance carries a factory for the same source (same block
+// map, costs, process and seed), which the streaming≡materialized oracle
+// replays against the materialized run — for every generated shape.
 #pragma once
 
 #include <cstdint>
@@ -35,9 +35,9 @@ struct GenOptions {
 struct GeneratedInstance {
   Instance inst;
   std::string descriptor;  ///< human-readable recipe, lands in repro artifacts
-  /// Reproduces the request stream as a streaming source (same generator,
-  /// same seed, bit-for-bit); null when the shape has no streaming twin
-  /// (non-contiguous blocks, weighted costs, or a twinless trace kind).
+  /// Reproduces the request stream as a streaming source (same process,
+  /// same seed, bit-for-bit). Set for every generated instance; null only
+  /// for instances that were not generated (replayed or shrunk ones).
   std::function<std::unique_ptr<RequestSource>()> streaming_twin;
 };
 

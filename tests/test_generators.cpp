@@ -1,8 +1,11 @@
-// Tests for the workload generators: ranges, determinism, and the
-// distributional shapes the benchmarks rely on.
+// Tests for the workload generators: ranges, determinism, the
+// distributional shapes the benchmarks rely on, and the guards shared by
+// the streaming and vector forms.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "trace/generators.hpp"
@@ -116,6 +119,77 @@ TEST(Generators, MakeInstanceValidates) {
       make_weighted_instance(4, 2, 2, {0, 3}, {1.0, 2.0}));
   EXPECT_THROW(make_weighted_instance(4, 2, 2, {0}, {1.0}),
                std::invalid_argument);
+}
+
+TEST(SyntheticSource, BothFormsRejectBadShapes) {
+  // Regression: scan_trace(0, T) reached t % 0 (SIGFPE) and a negative
+  // horizon gave std::length_error from the vector forms. Every process,
+  // streamed or drained, rejects both with std::invalid_argument.
+  const Xoshiro256pp rng(1);
+  const auto pages = [](int n) {
+    return n > 0 ? BlockMap::contiguous(n, 2) : BlockMap();
+  };
+  struct Form {
+    SyntheticSpec spec;
+    std::function<std::vector<PageId>(int, Time)> vector;
+  };
+  const std::vector<Form> forms = {
+      {SyntheticSpec::uniform(),
+       [&](int n, Time T) { return uniform_trace(n, T, rng); }},
+      {SyntheticSpec::zipf(0.9),
+       [&](int n, Time T) { return zipf_trace(n, T, 0.9, rng); }},
+      {SyntheticSpec::scan(), [](int n, Time T) { return scan_trace(n, T); }},
+      {SyntheticSpec::phased(5, 3),
+       [&](int n, Time T) { return phased_trace(n, T, 5, 3, rng); }},
+      {SyntheticSpec::block_local(0.75, 0.9), [&](int n, Time T) {
+         return block_local_trace(pages(n), T, 0.75, 0.9, rng);
+       }},
+  };
+  for (std::size_t i = 0; i < forms.size(); ++i) {
+    const Form& f = forms[i];
+    EXPECT_THROW(f.vector(0, 10), std::invalid_argument) << "kind " << i;
+    EXPECT_THROW(f.vector(8, -1), std::invalid_argument) << "kind " << i;
+    EXPECT_THROW(SyntheticSource(pages(0), 2, 10, f.spec, rng),
+                 std::invalid_argument)
+        << "kind " << i;
+    EXPECT_THROW(SyntheticSource(pages(8), 2, -1, f.spec, rng),
+                 std::invalid_argument)
+        << "kind " << i;
+    EXPECT_NO_THROW(f.vector(8, 0)) << "kind " << i;
+  }
+  // The phased shape guards, on the stream as on the vector form.
+  for (const auto& bad : {SyntheticSpec::phased(0, 12),
+                          SyntheticSpec::phased(60, 0),
+                          SyntheticSpec::phased(60, -3)})
+    EXPECT_THROW(SyntheticSource(pages(40), 12, 600, bad, rng),
+                 std::invalid_argument);
+}
+
+TEST(SyntheticSource, BlockLocalStreamsOverAWeightedNonContiguousMap) {
+  // Blocks interleave pages (page p in block p % 3, block sizes 4/3/3)
+  // and carry distinct costs, so the process must index the map's own
+  // page lists rather than assume contiguous ranges.
+  std::vector<BlockId> page_to_block(10);
+  for (int p = 0; p < 10; ++p) page_to_block[static_cast<std::size_t>(p)] = p % 3;
+  const BlockMap blocks(page_to_block, {1.0, 4.0, 0.5});
+  const Xoshiro256pp rng(17);
+
+  SyntheticSource src(blocks, 4, 900, SyntheticSpec::block_local(0.8, 0.6),
+                      rng);
+  EXPECT_TRUE(src.context().blocks.shares_structure(blocks));
+  std::vector<PageId> streamed;
+  PageId p = 0;
+  while (src.next(p)) streamed.push_back(p);
+  EXPECT_EQ(streamed, block_local_trace(blocks, 900, 0.8, 0.6, rng));
+
+  ASSERT_EQ(streamed.size(), 900u);
+  std::vector<int> per_block(3, 0);
+  for (const PageId q : streamed) {
+    ASSERT_GE(q, 0);
+    ASSERT_LT(q, 10);
+    ++per_block[static_cast<std::size_t>(blocks.block_of(q))];
+  }
+  for (const int c : per_block) EXPECT_GT(c, 0) << "every block is visited";
 }
 
 }  // namespace

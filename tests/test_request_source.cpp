@@ -1,5 +1,5 @@
-// Streaming request sources: generator adapters must reproduce the
-// materialized generator vectors exactly, the streaming simulate() core
+// Streaming request sources: sources must honour the next/next_batch/
+// rewind contract, the streaming simulate() core
 // must match the Instance path bit for bit, and the online aggregates
 // (step-cost histogram, miss-ratio curve) must agree with their offline
 // counterparts.
@@ -25,58 +25,12 @@ std::vector<PageId> drain(RequestSource& src) {
   return out;
 }
 
-TEST(SyntheticSource, MatchesUniformGenerator) {
-  const std::uint64_t seed = 42;
-  const auto expect = uniform_trace(32, 500, Xoshiro256pp(seed));
-  auto src = SyntheticSource::uniform(32, 4, 8, 500, seed);
-  EXPECT_EQ(drain(*src), expect);
-}
-
-TEST(SyntheticSource, MatchesZipfGenerator) {
-  const std::uint64_t seed = 7;
-  const auto expect = zipf_trace(64, 800, 0.9, Xoshiro256pp(seed));
-  auto src = SyntheticSource::zipf(64, 8, 16, 800, 0.9, seed);
-  EXPECT_EQ(drain(*src), expect);
-}
-
-TEST(SyntheticSource, MatchesScanGenerator) {
-  const auto expect = scan_trace(10, 95);
-  auto src = SyntheticSource::scan(10, 2, 4, 95);
-  EXPECT_EQ(drain(*src), expect);
-}
-
-TEST(SyntheticSource, MatchesPhasedGenerator) {
-  const std::uint64_t seed = 99;
-  const auto expect = phased_trace(40, 600, 60, 12, Xoshiro256pp(seed));
-  auto src = SyntheticSource::phased(40, 4, 12, 600, 60, 12, seed);
-  EXPECT_EQ(drain(*src), expect);
-}
-
-TEST(SyntheticSource, PhasedRejectsBadShape) {
-  // Mirrors the phased_trace guards: both halves of the streaming pair
-  // must reject the shapes whose materialized twin would throw.
-  EXPECT_THROW(SyntheticSource::phased(40, 4, 12, 600, 0, 12, 1),
-               std::invalid_argument);
-  EXPECT_THROW(SyntheticSource::phased(40, 4, 12, 600, 60, 0, 1),
-               std::invalid_argument);
-  EXPECT_THROW(SyntheticSource::phased(40, 4, 12, 600, 60, -3, 1),
-               std::invalid_argument);
-}
-
-TEST(SyntheticSource, MatchesBlockLocalGenerator) {
-  const std::uint64_t seed = 5;
-  const BlockMap blocks = BlockMap::contiguous(48, 6);
-  const auto expect = block_local_trace(blocks, 700, 0.75, 0.9,
-                                        Xoshiro256pp(seed));
-  auto src = SyntheticSource::block_local(48, 6, 12, 700, 0.75, 0.9, seed);
-  EXPECT_EQ(drain(*src), expect);
-}
-
 TEST(SyntheticSource, RewindReplaysIdentically) {
-  auto src = SyntheticSource::zipf(32, 4, 8, 300, 1.1, 13);
-  const auto first = drain(*src);
-  src->rewind();
-  const auto second = drain(*src);
+  SyntheticSource src(BlockMap::contiguous(32, 4), 8, 300,
+                      SyntheticSpec::zipf(1.1), Xoshiro256pp(13));
+  const auto first = drain(src);
+  src.rewind();
+  const auto second = drain(src);
   EXPECT_EQ(first, second);
   EXPECT_EQ(first.size(), 300u);
 }
@@ -113,11 +67,16 @@ TEST(NextBatch, MatchesNextForEverySourceKind) {
   // Synthetic sources (one per generator kind) ...
   const auto make_synthetics = [] {
     std::vector<std::unique_ptr<RequestSource>> v;
-    v.push_back(SyntheticSource::uniform(32, 4, 8, 700, 5));
-    v.push_back(SyntheticSource::zipf(64, 8, 16, 700, 0.9, 6));
-    v.push_back(SyntheticSource::scan(10, 2, 4, 700));
-    v.push_back(SyntheticSource::phased(40, 4, 12, 700, 60, 12, 7));
-    v.push_back(SyntheticSource::block_local(48, 6, 12, 700, 0.75, 0.9, 8));
+    const auto add = [&v](int n, int bs, int k, const SyntheticSpec& spec,
+                          std::uint64_t seed) {
+      v.push_back(std::make_unique<SyntheticSource>(
+          BlockMap::contiguous(n, bs), k, 700, spec, Xoshiro256pp(seed)));
+    };
+    add(32, 4, 8, SyntheticSpec::uniform(), 5);
+    add(64, 8, 16, SyntheticSpec::zipf(0.9), 6);
+    add(10, 2, 4, SyntheticSpec::scan(), 0);
+    add(40, 4, 12, SyntheticSpec::phased(60, 12), 7);
+    add(48, 6, 12, SyntheticSpec::block_local(0.75, 0.9), 8);
     return v;
   };
   auto a = make_synthetics();
@@ -139,19 +98,20 @@ TEST(NextBatch, MatchesNextForEverySourceKind) {
 }
 
 TEST(NextBatch, MixesWithNextMidStream) {
-  auto src = SyntheticSource::zipf(32, 4, 8, 300, 1.1, 13);
-  const auto expect = drain(*src);
-  src->rewind();
+  SyntheticSource src(BlockMap::contiguous(32, 4), 8, 300,
+                      SyntheticSpec::zipf(1.1), Xoshiro256pp(13));
+  const auto expect = drain(src);
+  src.rewind();
   std::vector<PageId> got;
   PageId p;
   std::vector<PageId> buf(64);
-  ASSERT_TRUE(src->next(p));  // one single
+  ASSERT_TRUE(src.next(p));  // one single
   got.push_back(p);
-  int m = src->next_batch(buf.data(), 64);  // then a batch
+  int m = src.next_batch(buf.data(), 64);  // then a batch
   got.insert(got.end(), buf.begin(), buf.begin() + m);
-  ASSERT_TRUE(src->next(p));  // a single again
+  ASSERT_TRUE(src.next(p));  // a single again
   got.push_back(p);
-  while ((m = src->next_batch(buf.data(), 64)) > 0)
+  while ((m = src.next_batch(buf.data(), 64)) > 0)
     got.insert(got.end(), buf.begin(), buf.begin() + m);
   EXPECT_EQ(got, expect);
 }
@@ -171,23 +131,25 @@ TEST(StreamingSimulate, MatchesMaterializedPathBitForBit) {
   const std::uint64_t seed = 3;
   const Instance inst =
       make_instance(64, 8, 16, zipf_trace(64, 2000, 0.9, Xoshiro256pp(seed)));
-  auto src = SyntheticSource::zipf(64, 8, 16, 2000, 0.9, seed);
+  SyntheticSource src(BlockMap::contiguous(64, 8), 16, 2000,
+                      SyntheticSpec::zipf(0.9), Xoshiro256pp(seed));
 
   LruPolicy lru_a, lru_b;
   const RunResult a = simulate(inst, lru_a);
-  const RunResult b = simulate(*src, lru_b);
+  const RunResult b = simulate(src, lru_b);
   EXPECT_TRUE(same_run(a, b));
   EXPECT_EQ(b.requests, 2000);
 
-  src->rewind();
+  src.rewind();
   BlockLruPolicy block_a(false), block_b(false);
-  EXPECT_TRUE(same_run(simulate(inst, block_a), simulate(*src, block_b)));
+  EXPECT_TRUE(same_run(simulate(inst, block_a), simulate(src, block_b)));
 }
 
 TEST(StreamingSimulate, RejectsOfflinePoliciesOnStreams) {
-  auto src = SyntheticSource::scan(16, 2, 8, 100);
+  SyntheticSource src(BlockMap::contiguous(16, 2), 8, 100,
+                      SyntheticSpec::scan(), Xoshiro256pp());
   BeladyPolicy belady;
-  EXPECT_THROW(simulate(*src, belady), std::invalid_argument);
+  EXPECT_THROW(simulate(src, belady), std::invalid_argument);
   // Materialized sources still welcome them.
   const Instance inst = make_instance(16, 2, 8, scan_trace(16, 100));
   EXPECT_NO_THROW(simulate(inst, belady));

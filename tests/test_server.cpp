@@ -18,6 +18,7 @@
 #include "core/simulator.hpp"
 #include "server/concurrent_cache.hpp"
 #include "server/dispatch.hpp"
+#include "trace/generators.hpp"
 #include "util/json.hpp"
 #include "util/timer.hpp"
 
@@ -29,13 +30,6 @@ using server::ConcurrentCache;
 using server::ServerStats;
 using server::ShardSnapshot;
 
-std::vector<PageId> materialize(RequestSource& source) {
-  std::vector<PageId> out;
-  PageId p = 0;
-  while (source.next(p)) out.push_back(p);
-  return out;
-}
-
 /// Small zipf workload: 256 pages in blocks of 4, k = 32, 20k requests.
 struct Workload {
   Instance inst;
@@ -43,9 +37,10 @@ struct Workload {
 };
 
 Workload zipf_workload(long long T = 20000) {
-  auto src = SyntheticSource::zipf(256, 4, 32, T, 0.9, 7);
-  std::vector<PageId> requests = materialize(*src);
-  Instance inst{src->context().blocks, requests, src->context().k};
+  SyntheticSource src(BlockMap::contiguous(256, 4), 32, T,
+                      SyntheticSpec::zipf(0.9), Xoshiro256pp(7));
+  Instance inst = materialize(src);
+  std::vector<PageId> requests = inst.requests;
   return {std::move(inst), std::move(requests)};
 }
 
@@ -304,9 +299,10 @@ class OneSlowRequestPolicy final : public OnlinePolicy {
 // batch-mean recording (one sample = batch total / n) diluted even the
 // max 512-fold (~1us), so these bounds fail against it.
 TEST(CacheShard, OneSlowRequestInABatchMovesTheTail) {
-  auto src = SyntheticSource::zipf(64, 4, 16, 512, 0.9, 5);
-  const std::vector<PageId> requests = materialize(*src);
-  const Instance header{src->context().blocks, {}, src->context().k};
+  SyntheticSource src(BlockMap::contiguous(64, 4), 16, 512,
+                      SyntheticSpec::zipf(0.9), Xoshiro256pp(5));
+  const std::vector<PageId> requests = materialize(src).requests;
+  const Instance header{src.context().blocks, {}, src.context().k};
   CacheShard shard(header, std::make_unique<OneSlowRequestPolicy>(300), 1);
   shard.get_batch(requests.data(), static_cast<int>(requests.size()));
 

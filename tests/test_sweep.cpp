@@ -284,6 +284,23 @@ TEST(Sweep, UnknownPolicyOrWorkloadThrows) {
   EXPECT_THROW(driver::run_sweep(config, nullptr), std::invalid_argument);
 }
 
+TEST(Sweep, NonFiniteZipfAlphaThrows) {
+  // strtod parses "nan" and "inf"; both used to pass as an alpha and run
+  // a degenerate one-page trace instead of failing.
+  const driver::SweepConfig config = small_config();
+  for (const char* spec : {"zipfnan", "zipfinf", "zipfinfinity"}) {
+    try {
+      (void)driver::make_workload_source(spec, config, 16);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("bad zipf spec"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW((void)driver::make_workload_source("zipf1.5", config, 16));
+}
+
 TEST(Sweep, InfeasibleKFailsLoudly) {
   driver::SweepConfig config = small_config();
   config.ks = {2};  // < beta = 4: no feasible cache

@@ -65,15 +65,6 @@ void usage(const char* argv0) {
       argv0);
 }
 
-std::vector<bac::PageId> materialize(bac::RequestSource& source) {
-  std::vector<bac::PageId> out;
-  const long long hint = source.horizon_hint();
-  if (hint > 0) out.reserve(static_cast<std::size_t>(hint));
-  bac::PageId p = 0;
-  while (source.next(p)) out.push_back(p);
-  return out;
-}
-
 struct RunRecord {
   int threads = 0;
   double wall_ms = 0;
@@ -249,7 +240,8 @@ int run(int argc, char** argv) {
   // every run replays the same sequence.
   auto source = bac::driver::make_workload_source(workload, config, k);
   bac::Instance ctx{source->context().blocks, {}, k};
-  const std::vector<bac::PageId> requests = materialize(*source);
+  const std::vector<bac::PageId> requests =
+      bac::materialize(*source).requests;
   if (requests.empty()) {
     std::fprintf(stderr, "%s: workload '%s' yielded no requests\n", argv[0],
                  workload.c_str());
