@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 namespace bac {
@@ -27,14 +28,6 @@ const std::vector<FractionalIncrement>& FractionalBlockAware::step(Time t,
   FlushSet* sets[] = {&*S_};
   cov_->advance(p, t, sets);
 
-  struct Candidate {
-    BlockId b;
-    Time t;
-    int coeff;   // capped marginal w.r.t. S'
-    double phi;
-  };
-  std::vector<Candidate> alive;
-
   // Paranoia bound: adoptions raise g(S) by >= 1 (capped at n) and
   // saturation iterations strictly satisfy the oracle's constraint, so the
   // loop terminates; the generous cap guards against numerical stalls.
@@ -47,23 +40,35 @@ const std::vector<FractionalIncrement>& FractionalBlockAware::step(Time t,
     if (!violation) break;
     const FlushSet& sprime = violation->sprime;
 
-    // Gather alive flushes and their capped marginals w.r.t. S'.
-    alive.clear();
-    for (BlockId b = 0; b < blocks_->n_blocks(); ++b) {
-      for (Time at : cov_->alive_times(b)) {
-        if (at > t) continue;  // flush strictly in the future: untouchable
-        const int coeff = sprime.f_marginal(b, at);
+    // Gather alive flushes and their capped marginals w.r.t. S', block by
+    // block in ascending time. The alive times are r + 1 over the block's
+    // sorted last requests (0 for never-requested pages), and the count of
+    // requests below r + 1 is the end of r's run in that list.
+    alive_.clear();
+    const int room = cov_->cap() - sprime.g();  // f-marginal cap
+    for (BlockId b = 0; room > 0 && b < blocks_->n_blocks(); ++b) {
+      const std::span<const Time> last = cov_->sorted_last(b);
+      const Time m = sprime.max_flush(b);
+      const int base = m == kNeverRequested ? 0 : cov_->count_below(b, m);
+      for (std::size_t i = 0; i < last.size();) {
+        const Time r = last[i];
+        while (i < last.size() && last[i] == r) ++i;
+        const Time at = r == kNeverRequested ? 0 : r + 1;
+        // A flush strictly in the future is untouchable; one at or before
+        // S''s max flush has marginal 0.
+        if (at > t || at <= m) continue;
+        const int coeff = std::min(static_cast<int>(i) - base, room);
         if (coeff <= 0) continue;
-        alive.push_back({b, at, coeff, vars_.get(b, at)});
+        alive_.push_back({b, at, coeff, vars_.get(b, at)});
       }
     }
 
     // d_tight: minimal dual increase making some alive flush with
     // coeff >= 1 reach phi = 1 (its dual constraint tightens then).
     double d_tight = std::numeric_limits<double>::infinity();
-    std::size_t chosen = alive.size();
-    for (std::size_t i = 0; i < alive.size(); ++i) {
-      const Candidate& c = alive[i];
+    std::size_t chosen = alive_.size();
+    for (std::size_t i = 0; i < alive_.size(); ++i) {
+      const Candidate& c = alive_[i];
       if (c.phi >= 1.0 - 1e-12) {
         // Already fully evicted fractionally but not yet in S: adopt it
         // immediately (d = 0).
@@ -79,7 +84,7 @@ const std::vector<FractionalIncrement>& FractionalBlockAware::step(Time t,
         chosen = i;
       }
     }
-    if (chosen == alive.size())
+    if (chosen == alive_.size())
       throw std::logic_error(
           "FractionalBlockAware: violated constraint but no alive candidate");
 
@@ -92,7 +97,7 @@ const std::vector<FractionalIncrement>& FractionalBlockAware::step(Time t,
     const double rhs = violation->rhs;
     auto lhs_at = [&](double d) {
       double lhs = 0;
-      for (const Candidate& c : alive) {
+      for (const Candidate& c : alive_) {
         const double eta = log_term_ / blocks_->cost(c.b);
         const double phi =
             std::min(1.0, (c.phi + eps_) * std::exp(eta * c.coeff * d) - eps_);
@@ -116,7 +121,7 @@ const std::vector<FractionalIncrement>& FractionalBlockAware::step(Time t,
 
     // Apply the closed-form growth to every alive flush.
     if (dstar > 0) {
-      for (const Candidate& c : alive) {
+      for (const Candidate& c : alive_) {
         const double eta = log_term_ / blocks_->cost(c.b);
         double phi_new =
             (c.phi + eps_) * std::exp(eta * c.coeff * dstar) - eps_;
@@ -132,7 +137,7 @@ const std::vector<FractionalIncrement>& FractionalBlockAware::step(Time t,
 
     if (adopt) {
       // The tight flush becomes integral.
-      const Candidate& win = alive[chosen];
+      const Candidate& win = alive_[chosen];
       const double topup = vars_.raise_to(win.b, win.t, 1.0);
       if (topup > 0) increments_.push_back({win.b, win.t, topup, 1.0});
       S_->add_flush(win.b, win.t);

@@ -74,6 +74,15 @@ class FractionalBlockAware {
   double dual_obj_ = 0;
   long long integral_flushes_ = 0;
   std::vector<FractionalIncrement> increments_;
+
+  /// An alive flush with positive capped marginal w.r.t. the violated S'.
+  struct Candidate {
+    BlockId b;
+    Time t;
+    int coeff;  // capped marginal w.r.t. S'
+    double phi;
+  };
+  std::vector<Candidate> alive_;  // reused by every while-loop iteration
 };
 
 }  // namespace bac

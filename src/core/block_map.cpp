@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace bac {
 
@@ -30,8 +31,15 @@ BlockMap::BlockMap(std::vector<BlockId> page_to_block,
   }
 
   data->block_offsets.assign(n_blocks + 1, 0);
-  for (std::size_t b = 0; b < n_blocks; ++b)
+  for (std::size_t b = 0; b < n_blocks; ++b) {
+    if (sizes[b] == 0) {
+      // A block without pages would be drawn by block-local processes
+      // and has no page to request; name it.
+      throw std::invalid_argument("BlockMap: block " + std::to_string(b) +
+                                  " has no pages");
+    }
     data->block_offsets[b + 1] = data->block_offsets[b] + sizes[b];
+  }
   data->block_pages.resize(data->page_to_block.size());
   std::vector<std::size_t> cursor(data->block_offsets.begin(),
                                   data->block_offsets.end() - 1);

@@ -28,7 +28,8 @@ class BlockMap {
   BlockMap();
 
   /// Build from an explicit page -> block assignment and per-block costs.
-  /// Requires every block id in [0, block_costs.size()) and positive costs.
+  /// Requires every block id in [0, block_costs.size()), positive costs and
+  /// at least one page in every block.
   BlockMap(std::vector<BlockId> page_to_block, std::vector<Cost> block_costs);
 
   /// n pages in contiguous blocks of `block_size` (last may be smaller),

@@ -54,6 +54,13 @@ class FlushCoverage {
   /// last-request list.
   [[nodiscard]] int count_below(BlockId b, Time m) const;
 
+  /// The block's last-request times r(p, tau), ascending; count_below(b, m)
+  /// is the lower_bound position of m in it. Lets a caller walking times in
+  /// ascending order find every count with one merge pass.
+  [[nodiscard]] std::span<const Time> sorted_last(BlockId b) const {
+    return sorted_last_[static_cast<std::size_t>(b)];
+  }
+
   /// Distinct alive flush times of block b at the current tau:
   /// { r(p, tau) + 1 : p in B } (deduplicated, ascending). Alive flushes
   /// are the only ones a competitive algorithm ever needs (Section 3.3).

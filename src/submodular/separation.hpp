@@ -11,7 +11,9 @@
 // relevant per-block max-flush combination (exponential; tests only).
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "submodular/flush_coverage.hpp"
 #include "submodular/flush_vars.hpp"
@@ -38,6 +40,24 @@ class SeparationOracle {
                                                  const FlushVars& phi) = 0;
 };
 
+/// Checks S, then S + (per block, the latest live entry with phi >= theta)
+/// for each theta of a net of the live phi values: all distinct values
+/// when there are at most 40, else the largest value, then repeatedly the
+/// largest value <= last / 1.3, then the smallest. Returns the first
+/// violated constraint in that order.
+///
+/// An entry's capped marginal depends only on its coverage *level*
+/// count_below(b, t), which takes at most beta + 1 values per block. A call
+/// makes one merge pass over the live entries (building per-level phi sums,
+/// per-block "staircases" of the entries whose phi beats every later
+/// entry's, and the net from a counting sort into buckets narrower than
+/// 1.3 instead of a full sort), then sweeps theta downwards moving one
+/// pointer per block. Each S' with new levels costs O(n) from the level
+/// sums. O(live entries + thresholds * n) per call; scratch buffers are
+/// members, so a call does not allocate once they have grown. The LHS is
+/// summed by level rather than by entry; a value close enough to the
+/// cutoff for that rounding difference to flip the decision is re-evaluated
+/// with constraint_lhs (bench/DESIGN.md has the argument).
 class ThresholdSeparation final : public SeparationOracle {
  public:
   /// `tolerance`: constraints violated by less than this are ignored
@@ -48,7 +68,27 @@ class ThresholdSeparation final : public SeparationOracle {
                                          const FlushVars& phi) override;
 
  private:
+  struct Step {
+    Time t;
+    int level;
+    double phi;
+  };
+  /// Fill thresholds_ from values_ (descending).
+  void net_thresholds();
+  /// LHS of the current S' (levels level_, g-value g) from the level sums.
+  [[nodiscard]] double level_lhs(int cap, int g) const;
+
   double tolerance_;
+  std::vector<double> values_;       // live phi values (unordered)
+  std::vector<double> thresholds_;   // the thetas, descending
+  std::vector<double> level_phi_;    // per block and level: summed phi
+  std::vector<std::size_t> level_off_;  // block b's levels start here
+  std::vector<Step> stairs_;         // per block: phi falls as t rises
+  std::vector<std::size_t> stair_off_;  // block b's steps start here
+  std::vector<std::size_t> stair_pos_;  // steps with phi >= theta so far
+  std::vector<int> level_;           // per block: level of S'
+  std::vector<double> binned_;       // values_ grouped by bucket
+  std::vector<std::uint32_t> bin_start_;  // per value bucket; zero at rest
 };
 
 /// Exhaustive search over per-block max-flush-time combinations drawn from

@@ -60,12 +60,17 @@ SyntheticSource::SyntheticSource(BlockMap blocks, int k, long long T,
       start_(rng),
       rng_(rng) {
   // Regression guards: n_pages <= 0 used to reach t % n_pages in the scan
-  // (integer division by zero), phase_len <= 0 reached t % phase_len, and
-  // ws_size <= 0 indexed an empty working set.
+  // (integer division by zero), phase_len <= 0 reached t % phase_len,
+  // ws_size <= 0 indexed an empty working set, and a non-finite alpha
+  // left a NaN popularity table that sent every draw to rank 0.
   const int n = header_.n_pages();
   if (n <= 0)
     throw std::invalid_argument("SyntheticSource: n_pages must be positive");
   if (T < 0) throw std::invalid_argument("SyntheticSource: negative horizon");
+  if ((spec.kind == SyntheticSpec::Kind::Zipf ||
+       spec.kind == SyntheticSpec::Kind::BlockLocal) &&
+      !std::isfinite(spec.alpha))
+    throw std::invalid_argument("SyntheticSource: alpha must be finite");
   if (spec.kind == SyntheticSpec::Kind::Phased) {
     if (spec.phase_len <= 0)
       throw std::invalid_argument(

@@ -72,8 +72,9 @@ std::optional<SyntheticSpec> named_workload(const std::string& name, int k,
 /// Streams T requests of `spec` over `blocks` (cache size k), starting
 /// from `rng`. rewind() restores the start state, so every replay is
 /// identical. Throws std::invalid_argument when blocks has no pages, T is
-/// negative, a phased spec has phase_len <= 0 or ws_size <= 0, or the
-/// header is infeasible (k <= 0 or beta > k).
+/// negative, a phased spec has phase_len <= 0 or ws_size <= 0, a zipf or
+/// block-local spec has a non-finite alpha, or the header is infeasible
+/// (k <= 0 or beta > k).
 class SyntheticSource final : public RequestSource {
  public:
   SyntheticSource(BlockMap blocks, int k, long long T,

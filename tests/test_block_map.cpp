@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "core/block_map.hpp"
 #include "core/instance.hpp"
@@ -54,6 +55,21 @@ TEST(BlockMap, RejectsBadInput) {
   EXPECT_THROW(BlockMap::contiguous(0, 4), std::invalid_argument);
   EXPECT_THROW(BlockMap::contiguous_weighted(10, 4, {1.0}),
                std::invalid_argument);  // wrong cost count
+}
+
+TEST(BlockMap, RejectsEmptyBlockByName) {
+  // Regression: block 1 had no pages, and block_local died mid-stream with
+  // "Xoshiro256pp::below: bound must be > 0" once it drew block 1.
+  try {
+    const BlockMap m({0, 0, 0, 0}, {1.0, 1.0});
+    FAIL() << "an empty block was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("block 1 has no pages"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(BlockMap({0, 2, 2}, {1.0, 1.0, 1.0}), std::invalid_argument);
+  EXPECT_NO_THROW(BlockMap({1, 0, 1}, {1.0, 1.0}));
 }
 
 TEST(BlockMap, CopiesShareStructureInConstantSpace) {

@@ -4,11 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "algs/fractional.hpp"
 #include "algs/opt.hpp"
+#include "algs/rounding.hpp"
+#include "core/simulator.hpp"
+#include "trace/bact.hpp"
 #include "trace/generators.hpp"
 #include "util/rng.hpp"
+
+#ifndef BAC_GOLDEN_DIR
+#error "BAC_GOLDEN_DIR must point at the committed corpus"
+#endif
 
 namespace bac {
 namespace {
@@ -171,6 +180,52 @@ TEST(Fractional, WeightedCostsRespectDualBound) {
       2.0 * std::log(static_cast<double>(inst.k) * inst.blocks.beta() + 1.0) +
       1.0;
   EXPECT_LE(alg.fractional_cost() / alg.dual_objective(), bound + 1e-6);
+}
+
+TEST(Fractional, GoldenCorpusNumbersArePinned) {
+  // Algorithm 2 and BA-Rand (seed 1) over the committed golden instances,
+  // against values recorded before the separation oracle was rewritten as
+  // a level sweep. The golden corpus itself skips randomized policies, so
+  // this is the ctest guard that any oracle or step change keeps the
+  // paper's numbers bit-identical.
+  struct Pinned {
+    const char* bact;
+    const char* fractional_cost;
+    const char* dual_objective;
+    long long integral_flushes;
+    const char* ba_rand_eviction_cost;
+  };
+  static constexpr Pinned kPinned[] = {
+      {"golden_00.bact", "163.51758613963995", "63.957171486241897", 120, "236"},
+      {"golden_01.bact", "94.933485501299302", "26.630508568405816", 0, "75"},
+      {"golden_02.bact", "59.03115467746715", "16.110337389811278", 7, "188.75"},
+      {"golden_03.bact", "51.778145482123612", "17.542439148202181", 0, "83"},
+      {"golden_04.bact", "106.95555995672234", "32.806442177892443", 29, "280.5"},
+      {"golden_05.bact", "0", "0", 0, "0"},
+      {"golden_06.bact", "0", "0", 0, "0"},
+      {"golden_07.bact", "113.06651822706401", "24.548800854144265", 5, "346.25"},
+  };
+  const auto g17 = [](double x) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.17g", x);
+    return std::string(buf);
+  };
+  for (const Pinned& want : kPinned) {
+    const Instance inst =
+        load_bact(std::string(BAC_GOLDEN_DIR) + "/" + want.bact);
+    FractionalBlockAware alg(inst.blocks, inst.k);
+    run_all(alg, inst);
+    EXPECT_EQ(g17(alg.fractional_cost()), want.fractional_cost) << want.bact;
+    EXPECT_EQ(g17(alg.dual_objective()), want.dual_objective) << want.bact;
+    EXPECT_EQ(alg.integral_flushes(), want.integral_flushes) << want.bact;
+
+    RandomizedBlockAware ba_rand;
+    SimOptions options;
+    options.seed = 1;
+    EXPECT_EQ(g17(simulate(inst, ba_rand, options).eviction_cost),
+              want.ba_rand_eviction_cost)
+        << want.bact;
+  }
 }
 
 }  // namespace

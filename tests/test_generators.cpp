@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <stdexcept>
 #include <vector>
@@ -156,6 +157,20 @@ TEST(SyntheticSource, BothFormsRejectBadShapes) {
                  std::invalid_argument)
         << "kind " << i;
     EXPECT_NO_THROW(f.vector(8, 0)) << "kind " << i;
+  }
+  // A non-finite alpha, on the stream as on the vector forms. NaN used to
+  // yield T requests all to page 0.
+  for (const double alpha : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    EXPECT_THROW(zipf_trace(64, 2000, alpha, rng), std::invalid_argument)
+        << alpha;
+    EXPECT_THROW(block_local_trace(pages(8), 10, 0.75, alpha, rng),
+                 std::invalid_argument)
+        << alpha;
+    for (const auto& bad : {SyntheticSpec::zipf(alpha),
+                            SyntheticSpec::block_local(0.75, alpha)})
+      EXPECT_THROW(SyntheticSource(pages(8), 2, 10, bad, rng),
+                   std::invalid_argument)
+          << alpha;
   }
   // The phased shape guards, on the stream as on the vector form.
   for (const auto& bad : {SyntheticSpec::phased(0, 12),
